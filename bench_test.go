@@ -4,8 +4,8 @@ package handshakejoin
 // Each testing.B bench runs a scaled-down configuration of the
 // corresponding experiment and reports the paper's metric through
 // b.ReportMetric; cmd/llhjbench runs the same experiments at full
-// simulated scale and prints the complete series. EXPERIMENTS.md maps
-// both to the paper's numbers.
+// simulated scale and prints the complete series; the internal/experiments
+// package documentation describes the scaling from the paper's testbed.
 //
 //	go test -bench=. -benchmem
 

@@ -678,9 +678,9 @@ func TestFloorStallWatchdog(t *testing.T) {
 		KeyR:        okRKey,
 		KeyS:        okSKey,
 		Punctuate:   true,
-		// Far beyond the watchdog threshold, so the floor is frozen while
-		// the stall is detected — but short enough that Close (which waits
-		// out one collector sleep) returns promptly.
+		// Collection is event-driven and HeartbeatPeriod overrides the
+		// heartbeat default this would set, so the value has no effect;
+		// the floor freezes for the reason given below.
 		CollectPeriod: 2 * time.Second,
 		Obs:           ObsConfig{EventBuffer: 256},
 		Adapt: AdaptConfig{
@@ -696,10 +696,11 @@ func TestFloorStallWatchdog(t *testing.T) {
 	defer eng.Close()
 
 	// Fixed keys keep their lanes visibly active, so those lanes never
-	// get an idle-shard heartbeat promise — and with the collector
-	// stalled they never promise themselves. The merged floor (the
-	// minimum over lanes) is frozen while ingress advances: exactly the
-	// stall the watchdog watches.
+	// get an idle-shard heartbeat promise — and each hot lane sees only
+	// one side, so its other high-water mark never rises and it never
+	// promises a floor itself. The merged floor (the minimum over
+	// lanes) is frozen while ingress advances: exactly the stall the
+	// watchdog watches.
 	deadline := time.Now().Add(10 * time.Second)
 	ts := int64(0)
 	for !eng.Health().FloorStalled {

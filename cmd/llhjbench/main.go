@@ -2,12 +2,13 @@
 // evaluation (§7) from this repository's implementation, using the
 // discrete-event simulator so that paper-scale pipeline widths (4–40
 // cores) run on any machine. Output is the same rows/series the paper
-// plots; absolute values are at the reduced scale documented in
-// EXPERIMENTS.md (the shapes are the reproduction target).
+// plots; absolute values are at the reduced scale described in the
+// internal/experiments package documentation (the shapes are the
+// reproduction target).
 //
-// Usage:
+// Usage (flags go before the experiment name):
 //
-//	llhjbench <experiment> [flags]
+//	llhjbench [flags] <experiment>
 //
 // Experiments:
 //
@@ -30,6 +31,10 @@
 //	probe    static scan/hash/btree access paths vs the IndexAuto
 //	         per-key-group strategy selector across selectivity mixes
 //	         (-json BENCH_probe.json), with enforced crossover checks
+//	recover  the price of durability: baseline vs WAL vs WAL plus
+//	         checkpoints, the fault seam and a degrade/re-arm cycle,
+//	         and checkpoint/restore timings by window size
+//	         (-json BENCH_recover.json)
 //	all      run everything
 //
 // Common flags: -scale, -quick, -csv (see -h).
@@ -435,7 +440,7 @@ func table2() error {
 	emit("low-latency handshake join", fmt.Sprintf("%.0f", llhjRate))
 	pIdx := p
 	pIdx.Batch = 8 // smaller batches shrink the linearly scanned in-flight buffer,
-	// which the coarse cost model otherwise over-charges (see EXPERIMENTS.md)
+	// which the coarse cost model (pipeline.CoarseCostModel) otherwise over-charges
 	idxRate, err := searchRate(pIdx, experiments.AlgoLLHJIndex, n, 250000)
 	if err != nil {
 		return err

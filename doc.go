@@ -42,7 +42,13 @@
 // ingress" below).
 //
 // The engine runs one goroutine per worker plus a collector; results
-// and (optionally) punctuations arrive on the OnOutput callback.
+// and (optionally) punctuations arrive on the OnOutput callback. A
+// result's latency is the driver's batching delay (its later input
+// waits until Batch tuples of its side have gathered) plus its transit
+// through the pipeline: a worker rings the collector's doorbell after
+// each message that queued results or raised a high-water mark, so
+// delivery adds no polling term (CollectPeriod only sets the default
+// idle-shard heartbeat cadence).
 // Everything under internal/ — the protocol state machines, the
 // discrete-event simulator used by the experiment harness, and the
 // baselines — is exercised through cmd/llhjbench and the test suite.
@@ -333,25 +339,29 @@
 // (MaxMigrationsPerSec, burst one) caps migration starts outright.
 //
 // Idle-shard heartbeats run independently of rebalancing (and are on
-// by default): a shard that received no tuples for a collect period
-// is ticked with the engine-wide ingress floor — sound because every
+// by default): a shard that received no tuples for a heartbeat period
+// (AdaptConfig.HeartbeatPeriod, default CollectPeriod) is ticked with the engine-wide ingress floor — sound because every
 // future tuple of either side carries a timestamp at or above the
 // floor, and a result's timestamp is the later of its inputs — so its
 // punctuation promise, and with it Ordered-mode output, keeps flowing
 // when parts of the key space go quiet. Heartbeats flush partial
 // batches on wall-clock time (the equivalent of a Tick), which keeps
-// batch-granular window boundaries within the documented
-// Shards*Batch blur but makes them wall-clock-dependent; set
+// batch-granular window boundaries within the batching blur below
+// but makes them wall-clock-dependent; set
 // Adapt.DisableHeartbeat (or Batch 1, where boundaries are exact) if
 // bit-for-bit schedule determinism matters more than idle latency.
 //
 // Window boundaries remain batch-granular, and the granularity grows
 // with the fan-out: each shard flushes after collecting Batch of its
-// own tuples, so boundaries blur by up to Shards*Batch tuples of the
+// own tuples, so boundaries blur by about Shards*Batch tuples of the
 // global stream — and a caller batch (PushRBatch/PushSBatch) defers
-// its expiry pops to the same flush points, widening the blur to
-// Shards*max(Batch, callerBatch) tuples. Keep windows much larger
-// than Shards*max(Batch, callerBatch) (and than
+// its expiry pops to the same flush points, widening the blur to about
+// Shards*max(Batch, callerBatch) tuples. That figure is the mean, not
+// a bound: hash routing splits caller batches unevenly, so one shard's
+// Batch tuples can span more of the global stream (llhjperf's
+// equi-sharded run, 2 shards with Batch and caller batches of 64,
+// measures about 230 tuples where the formula gives 128). Keep
+// windows much larger than Shards*max(Batch, callerBatch) (and than
 // Shards*Batch*MaxInFlight, which bounds the in-flight volume
 // expiries must never race) — the same windows-dominate-batching
 // regime the paper's single pipeline assumes.

@@ -271,14 +271,13 @@ func builderFor[L, RT any](cfg *Config[L, RT], trace func(kind string, a, b int6
 // driver configuration.
 func laneConfig[L, RT any](cfg *Config[L, RT], clk clock.Clock, punctuate bool) shard.LaneConfig {
 	return shard.LaneConfig{
-		Workers:       cfg.Workers,
-		Batch:         cfg.Batch,
-		MaxInFlight:   cfg.MaxInFlight,
-		CollectPeriod: cfg.CollectPeriod,
-		Punctuate:     punctuate,
-		Clock:         clk,
-		DedupeR:       cfg.WindowR.dualBound(),
-		DedupeS:       cfg.WindowS.dualBound(),
+		Workers:     cfg.Workers,
+		Batch:       cfg.Batch,
+		MaxInFlight: cfg.MaxInFlight,
+		Punctuate:   punctuate,
+		Clock:       clk,
+		DedupeR:     cfg.WindowR.dualBound(),
+		DedupeS:     cfg.WindowS.dualBound(),
 		// The LLHJ node forwards arrival batches unmodified and keeps
 		// tuples by value, so flushed backings can be pooled; the
 		// original handshake join re-batches window overflow.

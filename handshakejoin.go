@@ -205,8 +205,11 @@ type Config[L, RT any] struct {
 	// it conservatively). 0 disables admission control.
 	MaxLiveTuples int
 
-	// CollectPeriod is how often the collector vacuums the result
-	// queues (and punctuates). Default 1ms.
+	// CollectPeriod sets the default idle-shard heartbeat cadence
+	// (AdaptConfig.HeartbeatPeriod; ShardedEngine only). Result
+	// delivery does not wait on it: the pipeline wakes its collector
+	// whenever results are queued or a high-water mark rises, so a
+	// result leaves as soon as its pipeline transit ends. Default 1ms.
 	CollectPeriod time.Duration
 	// MaxInFlight bounds the number of messages in flight inside the
 	// pipeline; Push blocks when it is reached. It must stay far below
@@ -224,7 +227,7 @@ type Config[L, RT any] struct {
 // AdaptConfig tunes the adaptive shard runtime of a ShardedEngine.
 //
 // The runtime has two independent parts. Idle-shard heartbeats (on by
-// default) let a shard that received no tuples for a collect period
+// default) let a shard that received no tuples for a heartbeat period
 // promise the engine-wide ingress floor, so the merged punctuation —
 // and with it Ordered-mode output — keeps flowing when one shard's key
 // range goes quiet. Skew-aware rebalancing (off by default, Enable)

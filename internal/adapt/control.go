@@ -21,7 +21,7 @@ type Probe interface {
 	QueueDepth() int
 }
 
-// LaneSample is one shard's load sample over a collect period.
+// LaneSample is one shard's load sample over a sample period.
 type LaneSample struct {
 	// Routed counts tuples routed to the shard during the period.
 	Routed uint64

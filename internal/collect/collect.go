@@ -2,17 +2,19 @@
 // punctuation generation (§6.1) for live pipelines.
 //
 // Every pipeline worker writes matches to its own result queue
-// (Q1..Qn, Figure 15); a collector goroutine periodically vacuums all
-// queues into a single output stream. For low-latency handshake join
-// the collector additionally reads the high-water marks maintained at
-// the pipeline ends and emits punctuations ⌈tp⌉ with
-// tp = min(tmax,R, tmax,S): a guarantee that no later result carries a
-// smaller timestamp (§6.1.3). The read-HWM-then-vacuum-then-punctuate
-// order is what makes the guarantee sound.
+// (Q1..Qn, Figure 15); a collector goroutine vacuums all queues into a
+// single output stream whenever the pipeline rings its doorbell. For
+// low-latency handshake join the collector additionally reads the
+// high-water marks maintained at the pipeline ends and emits
+// punctuations ⌈tp⌉ with tp = min(tmax,R, tmax,S): a guarantee that no
+// later result carries a smaller timestamp (§6.1.3). The
+// read-HWM-then-vacuum-then-punctuate order is what makes the
+// guarantee sound.
 package collect
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"handshakejoin/internal/core"
 	"handshakejoin/internal/fifo"
@@ -50,12 +52,12 @@ type Collector[L, R any] struct {
 	// result queues at its cut) take it for the duration of a pass, so
 	// a pass observes the queues and emits downstream atomically with
 	// respect to other passes.
-	runMu sync.Mutex
+	runMu     sync.Mutex
+	lastPunct int64 // guarded by runMu
 
-	mu        sync.Mutex
-	collected uint64
-	puncts    uint64
-	lastPunct int64
+	// Counters for concurrent readers, published once per pass.
+	collected atomic.Uint64
+	puncts    atomic.Uint64
 }
 
 // New returns a Collector draining queues into out. hwm supplies the
@@ -72,7 +74,7 @@ func New[L, R any](queues []*fifo.Chan[core.Result[L, R]], hwm func() (r, s int6
 // checkpoints, which call it synchronously to drain every queued
 // result through the normal output path before snapshotting the
 // downstream sorter; passes are serialized against the background Run
-// loop, so a synchronous pass never interleaves with a periodic one.
+// loop, so a synchronous pass never interleaves with a background one.
 func (c *Collector[L, R]) RunOnce() (done bool) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
@@ -85,13 +87,12 @@ func (c *Collector[L, R]) RunOnce() (done bool) {
 		}
 	}
 	closed := 0
+	var n uint64
 	for _, q := range c.queues {
 		for {
 			r, ok, qClosed := q.TryGet()
 			if ok {
-				c.mu.Lock()
-				c.collected++
-				c.mu.Unlock()
+				n++
 				c.out(Item[L, R]{Result: r})
 				continue
 			}
@@ -101,37 +102,30 @@ func (c *Collector[L, R]) RunOnce() (done bool) {
 			break
 		}
 	}
+	c.collected.Add(n)
 	if c.cfg.Punctuate && c.hwm != nil && tp > c.lastPunct {
 		c.lastPunct = tp
-		c.mu.Lock()
-		c.puncts++
-		c.mu.Unlock()
+		c.puncts.Add(1)
 		c.out(Item[L, R]{Punct: true, TS: tp})
 	}
 	return closed == len(c.queues)
 }
 
-// Run loops RunOnce until every queue is closed and drained. It is
-// meant to run on its own goroutine; it yields between passes via the
-// provided idle func (e.g. runtime.Gosched or a short sleep).
-func (c *Collector[L, R]) Run(idle func()) {
+// Run loops RunOnce until every queue is closed and drained, waiting
+// on bell between passes. It is meant to run on its own goroutine. The
+// producer must leave a token on bell after every result put, high-
+// water-mark raise and queue close it wants seen (pipeline.Live.Bell);
+// a pass starts after its token is taken, so no announcement is lost.
+// A nil bell never rings: Run then returns only if its first pass
+// finds every queue closed, and blocks forever otherwise.
+func (c *Collector[L, R]) Run(bell <-chan struct{}) {
 	for !c.RunOnce() {
-		if idle != nil {
-			idle()
-		}
+		<-bell
 	}
 }
 
 // Collected returns the number of results assembled so far.
-func (c *Collector[L, R]) Collected() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.collected
-}
+func (c *Collector[L, R]) Collected() uint64 { return c.collected.Load() }
 
 // Punctuations returns the number of punctuations emitted so far.
-func (c *Collector[L, R]) Punctuations() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.puncts
-}
+func (c *Collector[L, R]) Punctuations() uint64 { return c.puncts.Load() }

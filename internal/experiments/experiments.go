@@ -9,10 +9,10 @@
 // predicate evaluations per window fill. The discrete-event simulator
 // reproduces the *shape* of every experiment at a reduced scale
 // (seconds-long windows, hundreds of tuples/second) on a single
-// commodity core; EXPERIMENTS.md records paper-vs-measured values and
-// the scaling applied. Latency results are reported in units of the
-// virtual clock, so the HSJ-vs-LLHJ contrast (window-scale versus
-// batch-scale latency) appears exactly as in Figures 5, 18, 19 and 20.
+// commodity core; each experiment's Params record the scaling applied.
+// Latency results are reported in units of the virtual clock, so the
+// HSJ-vs-LLHJ contrast (window-scale versus batch-scale latency)
+// appears exactly as in Figures 5, 18, 19 and 20.
 package experiments
 
 import (

@@ -21,7 +21,9 @@ import (
 // Results are written to per-node queues (Q1..Qn in Figure 15) and
 // drained by a collector (package collect). High-water marks for
 // punctuation generation are published through atomics by the pipeline
-// end nodes.
+// end nodes. Both are announced on a one-token doorbell (Bell) that the
+// collector blocks on, so results leave the pipeline as soon as they
+// are queued.
 type Live[L, R any] struct {
 	nodes []core.NodeLogic[L, R]
 	clk   clock.Clock
@@ -40,6 +42,11 @@ type Live[L, R any] struct {
 	depthCap int
 
 	hwmR, hwmS atomic.Int64
+
+	// bell is the collector's doorbell: one token, rung after every
+	// result put, high-water-mark raise or queue close it announces, so
+	// a collector that drains and re-arms can never miss a wake-up.
+	bell chan struct{}
 
 	depth atomic.Int64 // messages in flight across all links
 
@@ -107,6 +114,7 @@ func NewLive[L, R any](n int, build core.Builder[L, R], clk clock.Clock, cfg Liv
 		notify:   make([]chan struct{}, n),
 		idle:     make([]atomic.Bool, n),
 		resultQ:  make([]*fifo.Chan[core.Result[L, R]], n),
+		bell:     make(chan struct{}, 1),
 	}
 	for k := 0; k < n; k++ {
 		lv.nodes = append(lv.nodes, build(k))
@@ -130,6 +138,22 @@ func (lv *Live[L, R]) HWMS() int64 { return lv.hwmS.Load() }
 
 // ResultQueues exposes the per-node result queues for the collector.
 func (lv *Live[L, R]) ResultQueues() []*fifo.Chan[core.Result[L, R]] { return lv.resultQ }
+
+// Bell returns the collector's doorbell. It holds a token whenever a
+// result queue gained items, a high-water mark rose or a queue closed
+// since the token was last taken; a collector waits on it between
+// passes.
+func (lv *Live[L, R]) Bell() <-chan struct{} { return lv.bell }
+
+// ring leaves a token on the collector's doorbell. It never blocks: a
+// token already waiting covers this announcement too, because the
+// collector's next pass starts after it takes the token.
+func (lv *Live[L, R]) ring() {
+	select {
+	case lv.bell <- struct{}{}:
+	default:
+	}
+}
 
 // Inject delivers msg to a pipeline end, blocking while the entry link
 // holds more than the configured bound (driver back-pressure). It
@@ -169,7 +193,10 @@ func (lv *Live[L, R]) put(node, dir int, msg core.Msg[L, R]) bool {
 // left and right input channels and dispatch to the handlers.
 func (lv *Live[L, R]) nodeLoop(k int) {
 	defer lv.wg.Done()
-	defer lv.resultQ[k].Close()
+	defer func() {
+		lv.resultQ[k].Close()
+		lv.ring() // the collector exits once it sees every queue closed
+	}()
 	em := &liveEmitter[L, R]{lv: lv, k: k}
 	left, right := lv.links[k][0], lv.links[k][1]
 	for {
@@ -185,6 +212,12 @@ func (lv *Live[L, R]) nodeLoop(k int) {
 			lv.release(m)
 			lv.depth.Add(-1)
 			progress = true
+		}
+		if em.news {
+			// One ring per handled message, after all its puts and
+			// high-water-mark stores, never one per result.
+			em.news = false
+			lv.ring()
 		}
 		if progress {
 			continue
@@ -218,6 +251,10 @@ func (lv *Live[L, R]) release(m core.Msg[L, R]) {
 type liveEmitter[L, R any] struct {
 	lv *Live[L, R]
 	k  int
+	// news records that the message being handled queued a result or
+	// raised a high-water mark; the node loop rings the collector's
+	// doorbell once the handler returns.
+	news bool
 }
 
 // TakeSeqBuf implements core.SeqBufSource.
@@ -292,15 +329,25 @@ func (e *liveEmitter[L, R]) EmitResult(p stream.Pair[L, R]) {
 	q := e.lv.resultQ[e.k]
 	for {
 		ok, err := q.TryPut(r)
-		if ok || err != nil {
+		if ok {
+			e.news = true
 			return
 		}
-		runtime.Gosched() // collector must catch up
+		if err != nil {
+			return
+		}
+		// The collector must catch up. It may be parked on the doorbell
+		// with this message's earlier results not yet announced, so
+		// ring before yielding or both sides wait forever.
+		e.lv.ring()
+		runtime.Gosched()
 	}
 }
 
 func (e *liveEmitter[L, R]) StreamEnd(side stream.Side, ts int64) {
-	e.lv.AdvanceHWM(side, ts)
+	if e.lv.raiseHWM(side, ts) {
+		e.news = true
+	}
 }
 
 // AdvanceHWM raises one side's high-water mark to ts (never lowers
@@ -310,8 +357,17 @@ func (e *liveEmitter[L, R]) StreamEnd(side stream.Side, ts int64) {
 // >= ts and the pipeline holds no in-flight arrivals, no future result
 // can have a timestamp below ts (a result's timestamp is the later of
 // its two inputs), so the promise is sound even though no tuple
-// carried it through the pipeline.
+// carried it through the pipeline. A rise rings the collector's
+// doorbell, so the promise is punctuated without waiting for a result.
 func (lv *Live[L, R]) AdvanceHWM(side stream.Side, ts int64) {
+	if lv.raiseHWM(side, ts) {
+		lv.ring()
+	}
+}
+
+// raiseHWM lifts one side's high-water mark to ts and reports whether
+// it rose.
+func (lv *Live[L, R]) raiseHWM(side stream.Side, ts int64) bool {
 	hwm := &lv.hwmR
 	if side == stream.S {
 		hwm = &lv.hwmS
@@ -319,10 +375,10 @@ func (lv *Live[L, R]) AdvanceHWM(side stream.Side, ts int64) {
 	for {
 		cur := hwm.Load()
 		if ts <= cur {
-			return
+			return false
 		}
 		if hwm.CompareAndSwap(cur, ts) {
-			return
+			return true
 		}
 	}
 }

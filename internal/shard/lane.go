@@ -31,7 +31,11 @@ type LaneConfig struct {
 	// MaxInFlight bounds the messages in flight inside this lane's
 	// pipeline.
 	MaxInFlight int
-	// CollectPeriod is the collector vacuum interval.
+	// CollectPeriod is ignored. The lane's collector wakes on the
+	// pipeline's doorbell, not on a period; the field remains only so
+	// existing literals keep compiling.
+	//
+	// Deprecated: delivery is event-driven.
 	CollectPeriod time.Duration
 	// Punctuate enables punctuation generation on this lane's collector.
 	Punctuate bool
@@ -88,7 +92,10 @@ func (p *pool[T]) put(x T) {
 
 // Lane is one shard of a sharded engine — or the single pipeline of an
 // unsharded one: the per-pipeline driver state (batch buffers and
-// expiry queues), one live pipeline, and its collector goroutine.
+// expiry queues), one live pipeline, and its collector goroutine. The
+// collector sleeps on the pipeline's doorbell and runs a pass whenever
+// a node queued results, a high-water mark rose (including through
+// Heartbeat and RestoreState) or the pipeline closed.
 //
 // All driver entry points are serialized by an internal mutex, so a
 // Lane may be fed concurrently from both stream sides; the fan-out
@@ -140,7 +147,7 @@ func NewLane[L, R any](cfg LaneConfig, build core.Builder[L, R], out func(collec
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		l.coll.Run(func() { time.Sleep(cfg.CollectPeriod) })
+		l.coll.Run(l.lv.Bell())
 	}()
 	return l
 }
